@@ -181,10 +181,20 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parse one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a few MB of `[` overflow the stack;
+/// the deepest document the repository writes nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -197,6 +207,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,12 +253,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -304,56 +326,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let cp = self.hex4()?;
-                            // Surrogate pair: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos + 1..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| self.err("bad \\u escape"))?);
-                            continue;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain bytes up to the next '"' or '\\' in
+            // one go. Both stop bytes are ASCII, so the run ends on a char
+            // boundary of the input `&str`.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError {
+                    at: self.bytes.len(),
+                    msg: "unterminated string".to_string(),
+                })?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("bad utf-8"))?);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let cp = self.hex4()?;
+                    // Surrogate pair: a high surrogate must be followed
+                    // by an escaped low surrogate. A lone surrogate is no
+                    // `char`, so `from_u32` rejects it.
+                    let c = if (0xD800..0xDC00).contains(&cp)
+                        && self.bytes[self.pos..].starts_with(b"\\u")
+                    {
+                        self.pos += 1;
+                        let lo = self.hex4()?;
+                        (0xDC00..0xE000)
+                            .contains(&lo)
+                            .then(|| 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                            .and_then(char::from_u32)
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    out.push(c.ok_or_else(|| self.err("bad \\u escape"))?);
+                    continue;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -421,6 +443,44 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_bad_ones_are_errors() {
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap(), Json::str("\u{1F600}"));
+        assert_eq!(
+            parse(r#""a\ud83d\ude00b""#).unwrap(),
+            Json::str("a\u{1F600}b")
+        );
+        for bad in [
+            r#""\uD800"#,        // frame ends after the high surrogate
+            r#""\uD800""#,       // lone high surrogate
+            r#""\uD800\u0041""#, // high surrogate plus a non-low escape
+            r#""\uDC00""#,       // lone low surrogate
+            r#""\uD800\u"#,      // truncated second escape
+        ] {
+            assert!(parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse() {
+        let body = "é".repeat(200_000) + r"x\\y";
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str().map(str::len), Some(400_003));
+        assert!(parse(&format!("\"{body}")).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deep).is_ok());
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&deep_obj).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&over).is_err());
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

@@ -311,13 +311,19 @@ impl SimService {
             ));
         }
         let cfg = ServiceConfig::from_json(doc.get("config").ok_or("snapshot: config missing")?)?;
-        let journal = doc
-            .get("journal")
-            .and_then(Json::as_arr)
-            .ok_or("snapshot: journal missing")?;
+        // Take the journal by value so each parsed entry is freed once
+        // replayed: the parsed document and the replayed service never
+        // peak in memory together.
+        let journal = match doc {
+            Json::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == "journal"),
+            _ => None,
+        };
+        let Some((_, Json::Arr(journal))) = journal else {
+            return Err("snapshot: journal missing".into());
+        };
         let mut svc = SimService::new(cfg).map_err(|e| e.to_string())?;
         for entry in journal {
-            let op = JournalOp::from_json(entry)?;
+            let op = JournalOp::from_json(&entry)?;
             svc.apply(op)?;
         }
         Ok(svc)

@@ -14,7 +14,7 @@
 //! canonical order as a serial run. The two push flavors must not be mixed
 //! on one queue unless the caller guarantees key uniqueness across both.
 //!
-//! ## Implementation: a paged timer wheel
+//! ## Implementation: a sliding timer wheel
 //!
 //! A discrete-event network simulation pushes and pops millions of events
 //! whose delivery times cluster tightly around "now" (serialization at
@@ -26,11 +26,25 @@
 //! * **active** — a small binary heap holding the earliest bucket's
 //!   events (plus any same-window insertions). All pops come from here,
 //!   so exact `(time, seq)` ordering is preserved by the heap compare.
-//! * **wheel** — one page of `WHEEL_BUCKETS` buckets of
-//!   `BUCKET_GRANULARITY_NS` each (unsorted `Vec`s, found via a bitmap).
-//!   Covers ~2 ms past the active window.
-//! * **overflow** — a binary heap for events beyond the page (RTO-scale
-//!   timers). Drained into the wheel page by page.
+//! * **wheel** — a ring of `WHEEL_BUCKETS` buckets of [`BUCKET_NS`] each
+//!   (unsorted `Vec`s, found via a bitmap). It covers the [`PAGE_NS`]
+//!   (~32.8 µs) that start at the next bucket to load, and slides forward
+//!   with it.
+//! * **overflow** — a binary heap for events at least a page ahead
+//!   (DCQCN, window and RTO-scale timers). Each bucket load pulls the
+//!   events the slide brought into range into the wheel.
+//!
+//! The bucket width sets how many events share one active heap, and so
+//! how deep every pop digs. At 400 G every packet is sprayed and the
+//! paper alltoall fits ~10M events into ~97 µs of simulated time: with
+//! 256 ns buckets a loaded bucket held ~13,500 events there and a pop
+//! met a heap ~7,800 deep; with 4 ns buckets it is ~370 and ~210. The
+//! other fabrics are sparser and shrink the same way (lossy incast on
+//! the 400 G fabric: 97 → 7 events per bucket; k=16 open loop at 100 G:
+//! 46 → 4). The wheel slides rather than jumping page by page so the
+//! in-flight events near a page edge never pile up in the overflow heap:
+//! on the paper alltoall ~70k of them would, and copying them into the
+//! next page raised peak memory by ~4 MB.
 //!
 //! Events migrate overflow → wheel → active carrying their original
 //! `seq`, and equal timestamps always land in the same bucket, so pop
@@ -41,13 +55,16 @@ use crate::time::Nanos;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// log2 of the bucket width in nanoseconds (256 ns per bucket).
-const GRAN_BITS: u32 = 8;
-/// log2 of the bucket count per page (8192 buckets ≈ 2.1 ms per page).
+/// log2 of the bucket width in nanoseconds (4 ns per bucket).
+const GRAN_BITS: u32 = 2;
+/// log2 of the bucket count in the wheel (8192 buckets ≈ 32.8 µs).
 const WHEEL_BITS: u32 = 13;
 const WHEEL_BUCKETS: usize = 1 << WHEEL_BITS;
-/// Nanoseconds covered by one wheel page.
-const PAGE_SPAN: u64 = (WHEEL_BUCKETS as u64) << GRAN_BITS;
+/// Nanoseconds covered by one wheel bucket.
+pub const BUCKET_NS: u64 = 1 << GRAN_BITS;
+/// Nanoseconds the wheel covers ahead of its next bucket (one page);
+/// later events wait in the overflow heap.
+pub const PAGE_NS: u64 = (WHEEL_BUCKETS as u64) << GRAN_BITS;
 /// Words in the occupancy bitmap.
 const BITMAP_WORDS: usize = WHEEL_BUCKETS / 64;
 
@@ -91,27 +108,28 @@ impl<T> Ord for Scheduled<T> {
     }
 }
 
-/// A deterministic future-event list (paged timer wheel).
+/// A deterministic future-event list (sliding timer wheel).
 #[derive(Debug)]
 pub struct EventQueue<T> {
     /// Earliest-window events; every pop comes from this heap.
     active: BinaryHeap<Scheduled<T>>,
     /// Inclusive upper bound on delivery times routed to `active`.
-    /// (Inclusive so a page ending at `u64::MAX` is representable.)
+    /// (Inclusive so a window ending at `u64::MAX` is representable.)
     active_last: u64,
-    /// The current page's buckets (`None`-free; empty `Vec`s cost nothing).
+    /// Ring of buckets; absolute bucket `b` (`time >> GRAN_BITS`) lives
+    /// at `b % WHEEL_BUCKETS`.
     wheel: Vec<Vec<Scheduled<T>>>,
     /// One bit per bucket: does it hold any events?
     occupied: [u64; BITMAP_WORDS],
     /// Events currently in wheel buckets.
     wheel_count: usize,
-    /// Inclusive lower time bound of the current page.
-    page_start: u64,
-    /// Inclusive upper time bound of the current page.
-    page_last: u64,
-    /// Next bucket index to load into `active`.
-    cursor: usize,
-    /// Events at or beyond `page_end`.
+    /// Absolute bucket to load into `active` next. Every wheel event's
+    /// bucket lies in `cursor..horizon`.
+    cursor: u64,
+    /// Exclusive absolute bucket bound of the wheel, at most
+    /// `cursor + WHEEL_BUCKETS`; every overflow event lies at or past it.
+    horizon: u64,
+    /// Events at or beyond `horizon`.
     overflow: BinaryHeap<Scheduled<T>>,
     next_seq: u64,
     /// Events ever inserted (plain or keyed).
@@ -127,9 +145,8 @@ impl<T> Default for EventQueue<T> {
             wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
             wheel_count: 0,
-            page_start: 0,
-            page_last: PAGE_SPAN - 1,
             cursor: 0,
+            horizon: WHEEL_BUCKETS as u64,
             overflow: BinaryHeap::new(),
             next_seq: 0,
             total: 0,
@@ -178,9 +195,9 @@ impl<T> EventQueue<T> {
         self.insert(ev);
     }
 
-    /// Pop every pending event (in key order) and reset the paging state
-    /// so the queue accepts arbitrary future timestamps again. The
-    /// insertion counter survives, keeping later plain pushes unique.
+    /// Pop every pending event (in key order) and reset the wheel so the
+    /// queue accepts arbitrary future timestamps again. The insertion
+    /// counter survives, keeping later plain pushes unique.
     pub fn drain_all(&mut self) -> Vec<Scheduled<T>> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(ev) = self.pop() {
@@ -199,14 +216,15 @@ impl<T> EventQueue<T> {
         self.len += 1;
         self.total += 1;
         let t = ev.at.as_nanos();
-        if self.len == 1 && t > self.active_last && t <= self.page_last {
+        let b = t >> GRAN_BITS;
+        if self.len == 1 && t > self.active_last && b < self.horizon {
             // Empty queue: make this event the active window's upper
             // bound so it skips the wheel entirely. Safe because there
             // is nothing to order against, and any later push below `t`
             // joins the active heap, which keeps exact (time, seq)
             // order. Keeps a lone self-rescheduling timer on the cheap
             // heap path instead of paying a bucket migration per event.
-            // Capped at the page boundary so one far-future push can't
+            // Capped at the wheel's horizon so one far-future push can't
             // widen the active window into a de-facto global heap.
             self.active_last = t;
         }
@@ -214,18 +232,25 @@ impl<T> EventQueue<T> {
             // Same (or earlier) window as the events being drained now:
             // the heap keeps (time, seq) order exact.
             self.active.push(ev);
-        } else if t <= self.page_last {
-            let b = ((t - self.page_start) >> GRAN_BITS) as usize;
-            debug_assert!(b >= self.cursor && b < WHEEL_BUCKETS);
-            self.wheel[b].push(ev);
-            self.occupied[b >> 6] |= 1u64 << (b & 63);
-            self.wheel_count += 1;
+        } else if b < self.horizon {
+            debug_assert!(b >= self.cursor);
+            self.wheel_insert(ev);
         } else {
             self.overflow.push(ev);
         }
         if self.active.is_empty() && self.needs_settle() {
             self.settle();
         }
+    }
+
+    /// Put `ev` into its wheel bucket; its bucket must lie in
+    /// `cursor..horizon`.
+    #[inline]
+    fn wheel_insert(&mut self, ev: Scheduled<T>) {
+        let r = (ev.at.as_nanos() >> GRAN_BITS) as usize & (WHEEL_BUCKETS - 1);
+        self.wheel[r].push(ev);
+        self.occupied[r >> 6] |= 1u64 << (r & 63);
+        self.wheel_count += 1;
     }
 
     /// Remove and return the earliest event, if any.
@@ -274,63 +299,59 @@ impl<T> EventQueue<T> {
     }
 
     /// Restore the invariant that `active` holds the earliest events
-    /// whenever the queue is non-empty: load the next occupied bucket,
-    /// opening a fresh page from `overflow` if the current one is spent.
+    /// whenever the queue is non-empty: slide the wheel's horizon up to
+    /// a page past the cursor (jumping the cursor to the earliest
+    /// overflow event if the wheel is empty), then load the next
+    /// occupied bucket.
     #[cold]
     fn settle(&mut self) {
         debug_assert!(self.active.is_empty());
-        loop {
-            if self.wheel_count > 0 {
-                let b = self.next_occupied_bucket();
-                let bucket = std::mem::take(&mut self.wheel[b]);
-                self.wheel_count -= bucket.len();
-                self.occupied[b >> 6] &= !(1u64 << (b & 63));
-                self.cursor = b + 1;
-                self.active_last = self
-                    .page_start
-                    .saturating_add((((b + 1) as u64) << GRAN_BITS) - 1);
-                // O(k) heapify of the bucket.
-                self.active = BinaryHeap::from(bucket);
-                return;
-            }
-            if self.overflow.is_empty() {
-                return;
-            }
-            // Open the page containing the earliest overflow event.
-            let min = self
-                .overflow
-                .peek()
-                .expect("checked non-empty")
-                .at
-                .as_nanos();
-            self.page_start = min & !((1u64 << GRAN_BITS) - 1);
-            self.page_last = self.page_start.saturating_add(PAGE_SPAN - 1);
-            self.cursor = 0;
-            while let Some(s) = self.overflow.peek() {
-                if s.at.as_nanos() > self.page_last {
-                    break;
-                }
-                let ev = self.overflow.pop().expect("peeked");
-                let b = ((ev.at.as_nanos() - self.page_start) >> GRAN_BITS) as usize;
-                self.wheel[b].push(ev);
-                self.occupied[b >> 6] |= 1u64 << (b & 63);
-                self.wheel_count += 1;
+        if self.wheel_count == 0 {
+            match self.overflow.peek() {
+                Some(min) => self.cursor = min.at.as_nanos() >> GRAN_BITS,
+                None => return,
             }
         }
+        // The overflow holds only buckets at or past the old horizon, so
+        // the ring slots they move into are free.
+        self.horizon = self.cursor + WHEEL_BUCKETS as u64;
+        while let Some(s) = self.overflow.peek() {
+            if s.at.as_nanos() >> GRAN_BITS >= self.horizon {
+                break;
+            }
+            let ev = self.overflow.pop().expect("peeked");
+            self.wheel_insert(ev);
+        }
+        let b = self.next_occupied_bucket();
+        let r = b as usize & (WHEEL_BUCKETS - 1);
+        let bucket = std::mem::take(&mut self.wheel[r]);
+        self.wheel_count -= bucket.len();
+        self.occupied[r >> 6] &= !(1u64 << (r & 63));
+        self.cursor = b + 1;
+        self.active_last = (b << GRAN_BITS) | (BUCKET_NS - 1);
+        // O(k) heapify of the bucket.
+        self.active = BinaryHeap::from(bucket);
     }
 
-    /// Index of the first occupied bucket at or after `cursor`.
+    /// Absolute index of the first occupied bucket at or after `cursor`
+    /// (the wheel must be non-empty).
     #[inline]
-    fn next_occupied_bucket(&self) -> usize {
-        let mut w = self.cursor >> 6;
-        // Mask off bits below the cursor within its word.
-        let mut word = self.occupied[w] & (!0u64 << (self.cursor & 63));
+    fn next_occupied_bucket(&self) -> u64 {
+        let start = self.cursor as usize & (WHEEL_BUCKETS - 1);
+        let mut w = start >> 6;
+        // Mask off bits below the cursor within its word; they are the
+        // ring's last buckets and come up again after the wrap.
+        let mut word = self.occupied[w] & (!0u64 << (start & 63));
         loop {
             if word != 0 {
-                return (w << 6) + word.trailing_zeros() as usize;
+                let r = (w << 6) + word.trailing_zeros() as usize;
+                return self.cursor + (r.wrapping_sub(start) & (WHEEL_BUCKETS - 1)) as u64;
             }
-            w += 1;
-            debug_assert!(w < BITMAP_WORDS, "wheel_count > 0 but no bucket set");
+            w = (w + 1) % BITMAP_WORDS;
+            debug_assert!(
+                w != start >> 6 || self.occupied[w] != 0,
+                "wheel_count > 0 but no bucket set"
+            );
             word = self.occupied[w];
         }
     }
@@ -408,11 +429,11 @@ mod tests {
         let times = [
             0u64,
             100,
-            PAGE_SPAN - 1,
-            PAGE_SPAN,
-            PAGE_SPAN + 1,
-            3 * PAGE_SPAN + 17,
-            10 * PAGE_SPAN,
+            PAGE_NS - 1,
+            PAGE_NS,
+            PAGE_NS + 1,
+            3 * PAGE_NS + 17,
+            10 * PAGE_NS,
             u64::MAX - 1,
             u64::MAX,
         ];
@@ -433,7 +454,7 @@ mod tests {
         // A lone self-rescheduling timer with a period far beyond one
         // page (the RTO pattern) must keep firing in order.
         let mut q = EventQueue::new();
-        let period = 5 * PAGE_SPAN + 123;
+        let period = 5 * PAGE_NS + 123;
         q.push(Nanos(0), 0u64);
         let mut fired = 0u64;
         let mut last = 0u64;
@@ -464,9 +485,9 @@ mod tests {
     #[test]
     fn drain_all_returns_key_order_and_resets() {
         let mut q = EventQueue::new();
-        q.push(Nanos(3 * PAGE_SPAN), 30);
+        q.push(Nanos(3 * PAGE_NS), 30);
         q.push(Nanos(5), 5);
-        q.push(Nanos(PAGE_SPAN + 1), 10);
+        q.push(Nanos(PAGE_NS + 1), 10);
         // Advance paging state past the first bucket before draining.
         assert_eq!(q.pop().unwrap().payload, 5);
         let drained = q.drain_all();
@@ -490,7 +511,7 @@ mod tests {
         // Ties scheduled before and after an event migrates from
         // overflow into the wheel must still pop in seq order.
         let mut q = EventQueue::new();
-        let t = 2 * PAGE_SPAN + 500;
+        let t = 2 * PAGE_NS + 500;
         q.push(Nanos(t), 0); // lands in overflow
         q.push(Nanos(0), 100);
         assert_eq!(q.pop().unwrap().payload, 100); // opens page 0 then page 2

@@ -12,7 +12,7 @@
 //!   sequence number, and randomness comes from explicit, per-component
 //!   [`rng::Xoshiro256`] streams derived from a root seed.
 //! * **Throughput.** Figure-5 experiments schedule tens of millions of
-//!   events; the hot path is a paged timer-wheel push/pop of a small POD
+//!   events; the hot path is a sliding timer-wheel push/pop of a small POD
 //!   struct (see [`event`]), and hot id-keyed tables use the SipHash-free
 //!   [`fx`] hasher.
 //! * **No global state.** The engine is a plain value owned by the caller;

@@ -359,6 +359,10 @@ impl Report {
             out.push_str("\n  ");
         }
         out.push_str("}\n}\n");
+        // Drop the doubling slack (a 286 KB k=16 document sits in a
+        // 512 KB buffer): callers such as a service session keep these
+        // documents around.
+        out.shrink_to_fit();
         out
     }
 

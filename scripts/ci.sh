@@ -29,15 +29,17 @@
 #      checkpoint must continue with byte-identical telemetry, both
 #      servers must shut down cleanly, and degenerate knob combinations
 #      must exit with usage errors (never a panic).
-#   9. <30 s substrate smoke benchmark; fails if events_per_sec,
-#      open_loop_events_per_sec or
-#      shard_merge_ops_per_sec drops more than 30 % below the committed
-#      BENCH_substrate.json. When the committed numbers were taken on
-#      >= 4 cores, also requires parallel_speedup_4c >= 2.0.
-#  10. paper_fabric_x10 smoke: a short 1024-host k=16 run (all hosts in
-#      active rings, oracle-checked) plus the k=32 build smoke; fails if
-#      x10_events_per_sec drops more than 30 % below committed or
-#      x10_mb_per_host exceeds the 1.5x-plus-slack memory ceiling.
+#   9. substrate smoke benchmarks: a <30 s motivation-fabric run, the
+#      paper_fabric_x10 run (a short 1024-host k=16 run with all hosts
+#      in active rings, oracle-checked, plus the k=32 build smoke) and a
+#      paper-fabric run (the 16x16 400 G alltoall).
+#  10. one gate table over the smoke results: every listed key must stay
+#      at or above 70 % of the committed BENCH_substrate.json value
+#      (events_per_sec, shard_merge_ops_per_sec, the per-scheme rates,
+#      open_loop_events_per_sec, x10_events_per_sec,
+#      paper_events_per_sec); x10_mb_per_host must stay under the
+#      1.5x-plus-slack memory ceiling; and when the committed numbers
+#      were taken on >= 4 cores, parallel_speedup_4c must be >= 2.0.
 #
 # The gate is relative to the committed JSON (absolute numbers vary by
 # machine); the smoke run uses a scaled-down workload via the
@@ -201,91 +203,6 @@ THEMIS_BENCH_BUDGET=1 \
 THEMIS_BENCH_OUT="$SMOKE_JSON" \
     cargo bench -p themis-bench --bench substrate
 
-# Both files are the flat single-level JSON emitted by
-# themis_bench::harness::write_json (one `"key": value` pair per line),
-# so a line-oriented read is exact, not heuristic.
-read_field() { # read_field FILE KEY
-    awk -F': ' -v key="\"$2\"" '$1 ~ key {gsub(/,/, "", $2); print $2}' "$1"
-}
-
-baseline=$(read_field BENCH_substrate.json events_per_sec)
-current=$(read_field "$SMOKE_JSON" events_per_sec)
-if [ -z "$baseline" ] || [ -z "$current" ]; then
-    echo "FAIL: could not read events_per_sec (baseline='$baseline', current='$current')"
-    exit 1
-fi
-
-echo "events_per_sec: committed=$baseline smoke=$current"
-awk -v b="$baseline" -v c="$current" 'BEGIN {
-    floor = 0.70 * b
-    if (c < floor) {
-        printf "FAIL: events_per_sec %.0f is below the 70%% regression floor %.0f\n", c, floor
-        exit 1
-    }
-    printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
-}'
-
-merge_baseline=$(read_field BENCH_substrate.json shard_merge_ops_per_sec)
-merge_current=$(read_field "$SMOKE_JSON" shard_merge_ops_per_sec)
-if [ -z "$merge_baseline" ] || [ -z "$merge_current" ]; then
-    echo "FAIL: could not read shard_merge_ops_per_sec (baseline='$merge_baseline', current='$merge_current')"
-    exit 1
-fi
-
-echo "shard_merge_ops_per_sec: committed=$merge_baseline smoke=$merge_current"
-awk -v b="$merge_baseline" -v c="$merge_current" 'BEGIN {
-    floor = 0.70 * b
-    if (c < floor) {
-        printf "FAIL: shard_merge_ops_per_sec %.0f is below the 70%% regression floor %.0f\n", c, floor
-        exit 1
-    }
-    printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
-}'
-
-# Per-scheme throughput of the SCHEMES.md baselines: a throughput
-# collapse in one scheme's entropy/reaction hot path (RNG per send,
-# pool bookkeeping, OOO gap tracking) would hide inside the aggregate
-# numbers above, so each gets its own 70% floor.
-for scheme in reps eunomia sprinklers; do
-    key="scheme_${scheme}_events_per_sec"
-    s_baseline=$(read_field BENCH_substrate.json "$key")
-    s_current=$(read_field "$SMOKE_JSON" "$key")
-    if [ -z "$s_baseline" ] || [ -z "$s_current" ]; then
-        echo "FAIL: could not read $key (baseline='$s_baseline', current='$s_current')"
-        exit 1
-    fi
-    echo "$key: committed=$s_baseline smoke=$s_current"
-    awk -v b="$s_baseline" -v c="$s_current" -v k="$key" 'BEGIN {
-        floor = 0.70 * b
-        if (c < floor) {
-            printf "FAIL: %s %.0f is below the 70%% regression floor %.0f\n", k, c, floor
-            exit 1
-        }
-        printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
-    }'
-done
-
-# The open-loop traffic engine gets its own floor: its hot path (many
-# deferred instances, per-window merged snapshots + drop-log drains)
-# shares almost nothing with the single-collective runs above, so a
-# regression there would be invisible to them.
-ol_baseline=$(read_field BENCH_substrate.json open_loop_events_per_sec)
-ol_current=$(read_field "$SMOKE_JSON" open_loop_events_per_sec)
-if [ -z "$ol_baseline" ] || [ -z "$ol_current" ]; then
-    echo "FAIL: could not read open_loop_events_per_sec (baseline='$ol_baseline', current='$ol_current')"
-    exit 1
-fi
-
-echo "open_loop_events_per_sec: committed=$ol_baseline smoke=$ol_current"
-awk -v b="$ol_baseline" -v c="$ol_current" 'BEGIN {
-    floor = 0.70 * b
-    if (c < floor) {
-        printf "FAIL: open_loop_events_per_sec %.0f is below the 70%% regression floor %.0f\n", c, floor
-        exit 1
-    }
-    printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
-}'
-
 echo "== paper_fabric_x10 smoke bench =="
 # The 1024-host k=16 fabric with every host in an active ring, run at a
 # smoke-sized payload (same event machinery, smaller horizon), plus the
@@ -300,22 +217,63 @@ THEMIS_BENCH_BUDGET=1 \
 THEMIS_BENCH_OUT="$X10_JSON" \
     cargo bench -p themis-bench --bench substrate
 
-x10_baseline=$(read_field BENCH_substrate.json x10_events_per_sec)
-x10_current=$(read_field "$X10_JSON" x10_events_per_sec)
-if [ -z "$x10_baseline" ] || [ -z "$x10_current" ]; then
-    echo "FAIL: could not read x10_events_per_sec (baseline='$x10_baseline', current='$x10_current')"
-    exit 1
-fi
+echo "== paper-fabric smoke bench =="
+# The 16x16 400 G alltoall: the densest event population the substrate
+# runs (every packet sprayed), and the fabric ROADMAP item 1 tracks.
+PAPER_JSON=$(mktemp /tmp/bench_substrate_paper.XXXXXX.json)
+trap 'rm -f "$SMOKE_JSON" "$X10_JSON" "$PAPER_JSON"' EXIT
+THEMIS_BENCH_FABRIC=paper \
+THEMIS_BENCH_BUDGET=1 \
+THEMIS_BENCH_OUT="$PAPER_JSON" \
+    cargo bench -p themis-bench --bench substrate
 
-echo "x10_events_per_sec: committed=$x10_baseline smoke=$x10_current"
-awk -v b="$x10_baseline" -v c="$x10_current" 'BEGIN {
-    floor = 0.70 * b
-    if (c < floor) {
-        printf "FAIL: x10_events_per_sec %.0f is below the 70%% regression floor %.0f\n", c, floor
+echo "== bench gates =="
+# All three files are the flat single-level JSON emitted by
+# themis_bench::harness::write_json (one `"key": value` pair per line),
+# so a line-oriented read is exact, not heuristic.
+read_field() { # read_field FILE KEY
+    awk -F': ' -v key="\"$2\"" '$1 ~ key {gsub(/,/, "", $2); print $2}' "$1"
+}
+
+# check_floor FILE KEY: the smoke value of KEY in FILE must be at least
+# 70 % of the committed BENCH_substrate.json value.
+check_floor() {
+    local file=$1 key=$2 baseline current
+    baseline=$(read_field BENCH_substrate.json "$key")
+    current=$(read_field "$file" "$key")
+    if [ -z "$baseline" ] || [ -z "$current" ]; then
+        echo "FAIL: could not read $key (baseline='$baseline', current='$current')"
         exit 1
-    }
-    printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
-}'
+    fi
+    echo "$key: committed=$baseline smoke=$current"
+    awk -v b="$baseline" -v c="$current" -v k="$key" 'BEGIN {
+        floor = 0.70 * b
+        if (c < floor) {
+            printf "FAIL: %s %.0f is below the 70%% regression floor %.0f\n", k, c, floor
+            exit 1
+        }
+        printf "OK: within the 30%% regression budget (floor %.0f)\n", floor
+    }'
+}
+
+# The per-scheme rates of the SCHEMES.md baselines each get a floor: a
+# throughput collapse in one scheme's entropy/reaction hot path (RNG per
+# send, pool bookkeeping, OOO gap tracking) would hide inside the
+# aggregate numbers. So does the open-loop engine, whose hot path (many
+# deferred instances, per-window merged snapshots + drop-log drains)
+# shares almost nothing with the single-collective runs.
+while read -r file key; do
+    check_floor "$file" "$key"
+done <<EOF
+$SMOKE_JSON events_per_sec
+$SMOKE_JSON shard_merge_ops_per_sec
+$SMOKE_JSON scheme_reps_events_per_sec
+$SMOKE_JSON scheme_eunomia_events_per_sec
+$SMOKE_JSON scheme_sprinklers_events_per_sec
+$SMOKE_JSON open_loop_events_per_sec
+$X10_JSON x10_events_per_sec
+$PAPER_JSON paper_events_per_sec
+EOF
 
 # Memory gate is a *ceiling*: the run must not get hungrier. The RSS
 # delta rides on allocator state, so allow 1.5x the committed value plus

@@ -5,8 +5,12 @@
 //! This is the replay-safety contract of the substrate: swapping the
 //! queue implementation must not change a single event's delivery order,
 //! or every seeded experiment in the repo silently changes results.
+//!
+//! Every regime below is built from the wheel's exported geometry
+//! (`BUCKET_NS`, `PAGE_NS`), so the regimes keep their meaning when the
+//! geometry changes.
 
-use simcore::event::EventQueue;
+use simcore::event::{EventQueue, BUCKET_NS, PAGE_NS};
 use simcore::rng::Xoshiro256;
 use simcore::time::Nanos;
 use std::cmp::Reverse;
@@ -32,59 +36,151 @@ impl RefQueue {
     }
 }
 
+/// The wheel and the reference driven in lockstep. Pushes never go
+/// below the last popped time, as the engine enforces.
+#[derive(Default)]
+struct Lockstep {
+    wheel: EventQueue<u64>,
+    reference: RefQueue,
+    now: u64,
+    next_payload: u64,
+}
+
+impl Lockstep {
+    fn push(&mut self, at: u64) {
+        let at = at.max(self.now);
+        self.wheel.push(Nanos(at), self.next_payload);
+        self.reference.push(at, self.next_payload);
+        self.next_payload += 1;
+    }
+
+    /// Pop from both, assert they agree (and still agree on length and
+    /// earliest time), and advance `now`.
+    fn pop(&mut self, ctx: &str) -> Option<(u64, u64)> {
+        let got = self.wheel.pop().map(|s| (s.at.as_nanos(), s.payload));
+        assert_eq!(got, self.reference.pop(), "{ctx}: pop mismatch");
+        if let Some((t, _)) = got {
+            self.now = t;
+        }
+        assert_eq!(self.wheel.len(), self.reference.heap.len(), "{ctx}");
+        assert_eq!(
+            self.wheel.peek_time().map(Nanos::as_nanos),
+            self.reference.heap.peek().map(|Reverse((t, _, _))| *t),
+            "{ctx}: peek mismatch"
+        );
+        got
+    }
+
+    /// Drain completely: the tail must agree too.
+    fn drain(&mut self, ctx: &str) {
+        while self.pop(ctx).is_some() {}
+    }
+}
+
 /// Drive both queues through the same randomized schedule and assert
-/// every pop agrees. Time distributions mix three regimes the wheel
-/// handles differently: same-bucket ties, near-future (in-page), and
-/// far-future (overflow-heap) events.
+/// every pop agrees. Offsets from "now" mix the regimes the wheel
+/// handles differently: exact ties, bucket-local, a few buckets out,
+/// in-page, straddling the page edge, and far-future (overflow heap).
 #[test]
 fn wheel_matches_reference_heap_under_interleaving() {
     const CASES: u64 = 150;
     for case in 0..CASES {
         let mut rng = Xoshiro256::substream(0x3B0E, case);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut reference = RefQueue::default();
+        let mut q = Lockstep::default();
+        let ctx = format!("case {case}");
         let ops = 50 + rng.next_index(500);
-        let mut now = 0u64; // lower bound for pushes, as the engine enforces
-        let mut payload = 0u64;
         for _ in 0..ops {
             // 60% push, 40% pop — queues grow, then drain below.
             if rng.next_below(10) < 6 {
-                // Mix of offsets: bucket-local (0..256), page-local
-                // (..2 ms), and beyond-page (..200 ms); plus exact ties.
-                let offset = match rng.next_below(4) {
+                let offset = match rng.next_below(6) {
                     0 => 0,
-                    1 => rng.next_below(256),
-                    2 => rng.next_below(2_000_000),
-                    _ => rng.next_below(200_000_000),
+                    1 => rng.next_below(BUCKET_NS),
+                    2 => rng.next_below(64 * BUCKET_NS),
+                    3 => rng.next_below(PAGE_NS),
+                    4 => PAGE_NS - 4 * BUCKET_NS + rng.next_below(8 * BUCKET_NS),
+                    _ => rng.next_below(200 * PAGE_NS),
                 };
-                let at = now + offset;
-                wheel.push(Nanos(at), payload);
-                reference.push(at, payload);
-                payload += 1;
+                q.push(q.now + offset);
             } else {
-                let got = wheel.pop().map(|s| (s.at.as_nanos(), s.payload));
-                let want = reference.pop();
-                assert_eq!(got, want, "case {case}: pop mismatch");
-                if let Some((t, _)) = got {
-                    now = t;
+                q.pop(&ctx);
+            }
+        }
+        q.drain(&ctx);
+    }
+}
+
+/// The 400 G regime: tens of thousands of events inside one bucket's
+/// span, so thousands of exact ties per timestamp. The fill phase adds
+/// earlier events faster than it pops, so the dense bucket grows to
+/// 20,000 events while it waits in the wheel — or, for the cases whose
+/// bucket starts pages out, in the overflow heap — and is then loaded
+/// whole. The churn phase keeps pushing into it (clamped to "now", so
+/// more exact ties) while popping from it.
+#[test]
+fn dense_bucket_matches_reference_heap() {
+    for case in 0..4u64 {
+        let mut rng = Xoshiro256::substream(0xDE75, case);
+        let ctx = format!("dense case {case}");
+        let page = if case < 2 { 0 } else { case * PAGE_NS };
+        let base = page + (PAGE_NS / 2 + rng.next_below(PAGE_NS / 4)) / BUCKET_NS * BUCKET_NS;
+        let dense_at = |rng: &mut Xoshiro256| base + rng.next_below(BUCKET_NS);
+        let mut q = Lockstep::default();
+        let mut dense = 0u32;
+        while dense < 20_000 {
+            match rng.next_below(10) {
+                0..=4 => {
+                    q.push(dense_at(&mut rng));
+                    dense += 1;
+                }
+                5..=7 => {
+                    let gap = base.saturating_sub(q.now).max(1);
+                    q.push(q.now + rng.next_below(gap));
+                }
+                _ => {
+                    q.pop(&ctx);
                 }
             }
-            assert_eq!(wheel.len(), reference.heap.len(), "case {case}");
-            assert_eq!(
-                wheel.peek_time().map(Nanos::as_nanos),
-                reference.heap.peek().map(|Reverse((t, _, _))| *t),
-                "case {case}: peek mismatch"
-            );
         }
-        // Drain completely: the tail must agree too.
-        loop {
-            let got = wheel.pop().map(|s| (s.at.as_nanos(), s.payload));
-            let want = reference.pop();
-            assert_eq!(got, want, "case {case}: drain mismatch");
-            if got.is_none() {
-                break;
+        for _ in 0..20_000 {
+            match rng.next_below(10) {
+                0..=3 => q.push(dense_at(&mut rng)),
+                4 => q.push(base + BUCKET_NS + rng.next_below(4 * BUCKET_NS)),
+                _ => {
+                    q.pop(&ctx);
+                }
             }
         }
+        q.drain(&ctx);
+    }
+}
+
+/// Events clustered on both sides of the page edge as "now" advances:
+/// the boundary between the wheel and the overflow heap moves with the
+/// cursor, and ties on either side of it must still pop in FIFO order.
+#[test]
+fn page_edge_straddle_matches_reference_heap() {
+    for case in 0..20u64 {
+        let mut rng = Xoshiro256::substream(0xED6E, case);
+        let ctx = format!("edge case {case}");
+        let mut q = Lockstep::default();
+        for _ in 0..3_000 {
+            match rng.next_below(10) {
+                0..=2 => {
+                    let edge = q.now + PAGE_NS;
+                    q.push(edge - 8 * BUCKET_NS + rng.next_below(16 * BUCKET_NS));
+                }
+                3 => {
+                    // Absolute page multiples, as a paged layout would cut.
+                    let k = q.now / PAGE_NS + 1 + rng.next_below(2);
+                    q.push(k * PAGE_NS - BUCKET_NS + rng.next_below(2 * BUCKET_NS));
+                }
+                4..=5 => q.push(q.now + rng.next_below(256 * BUCKET_NS)),
+                _ => {
+                    q.pop(&ctx);
+                }
+            }
+        }
+        q.drain(&ctx);
     }
 }
 
